@@ -33,6 +33,6 @@ fuzz:
 	for f in FuzzHilbertRoundTrip FuzzRefineStepSound FuzzKernelEquivalence; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/sfc || exit 1; \
 	done
-	for f in FuzzParse FuzzWordDimConsistency FuzzSpaceSoundness; do \
+	for f in FuzzParse FuzzWordDimConsistency FuzzSpaceSoundness FuzzMatcherEquivalence; do \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/keyspace || exit 1; \
 	done

@@ -141,3 +141,72 @@ func TestStormDeterminism(t *testing.T) {
 	}
 	t.Logf("storm transcript: %s", a)
 }
+
+// lossyTopKStorm runs a small lossy churn storm in which every other
+// query is a Limit(10) stream, so satisfied streams tear their outstanding
+// children down with QueryCancelMsg while links drop messages and peers
+// join and die.
+func lossyTopKStorm(t *testing.T, seed int64) dessim.StormResult {
+	t.Helper()
+	space, err := keyspace.NewWordSpace(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := dessim.Build(dessim.Config{
+		Nodes: 300,
+		Space: space,
+		Seed:  seed,
+		Net: dessim.NetConfig{
+			Seed:       seed + 1,
+			MinLatency: 5 * time.Millisecond,
+			MaxLatency: 80 * time.Millisecond,
+			DropRate:   0.005,
+		},
+		Chord: chord.Config{
+			RPCTimeout: 400 * time.Millisecond,
+			RPCRetries: 3,
+			RPCBackoff: 10 * time.Millisecond,
+		},
+		Engine: squid.Options{
+			SubtreeTimeout: 8 * time.Second,
+			SubtreeRetries: 2,
+			QueryDeadline:  2 * time.Minute,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocab := workload.NewVocabulary(seed+2, 300, 1.2)
+	if err := nw.Preload(workload.Elements(workload.KeyTuples(vocab, seed+3, 4*300, 2))); err != nil {
+		t.Fatal(err)
+	}
+	nw.StabilizeAll(5)
+	return nw.RunStorm(dessim.StormConfig{
+		Seed:            seed + 4,
+		Queries:         300,
+		Vocab:           vocab,
+		Dims:            2,
+		Joins:           4,
+		Kills:           4,
+		StabilizeRounds: 5,
+		TopK:            10,
+	})
+}
+
+// TestLossyTopKStormReplaysInProcess pins the cancel path's determinism:
+// teardown walks a subtree's children in dispatch order, so the same lossy
+// TopK storm run five times in one process gives one fingerprint. (Ranging
+// over the engine's token map instead reorders the QueryCancelMsg sends
+// from run to run, and with them the whole schedule.)
+func TestLossyTopKStormReplaysInProcess(t *testing.T) {
+	first := lossyTopKStorm(t, 9005)
+	if first.Streamed == 0 {
+		t.Fatal("storm streamed no queries")
+	}
+	for run := 2; run <= 5; run++ {
+		if got := lossyTopKStorm(t, 9005); got != first {
+			t.Fatalf("run %d diverged:\n run 1 %v\n run %d %v", run, first, run, got)
+		}
+	}
+	t.Logf("lossy TopK storm: %v", first)
+}

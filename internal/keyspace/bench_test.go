@@ -62,3 +62,20 @@ func BenchmarkSpaceMatches(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMatcherMatch measures the same filter compiled once, as data
+// nodes run it over every scanned element.
+func BenchmarkMatcherMatch(b *testing.B) {
+	s, err := NewWordSpace(2, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := s.Compile(MustParse("(comp*, net*)"))
+	vals := []string{"computer", "network"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !m.Match(vals) {
+			b.Fatal("should match")
+		}
+	}
+}

@@ -13,7 +13,9 @@ import (
 // Dimension encodes the values of one axis of the keyword space into
 // coordinates in [0, 2^Bits) and translates query terms into coordinate
 // intervals. Implementations must be immutable values safe for concurrent
-// use.
+// use. The interface is sealed — WordDim, NumericDim and EnumDim are its
+// implementations — because each compiles its terms into the shared
+// Matcher representation.
 type Dimension interface {
 	// Name labels the axis ("keyword", "memory", ...).
 	Name() string
@@ -27,6 +29,10 @@ type Dimension interface {
 	Interval(t Term) (sfc.Interval, error)
 	// Matches reports whether a concrete value satisfies the term exactly.
 	Matches(t Term, value string) bool
+
+	// compile resolves the term's exact filter once (see Matcher); Matches
+	// is compile followed by one match.
+	compile(t Term) termMatch
 }
 
 // wordRadix is the base of the lexicographic word encoding: digit 0 is the
@@ -103,41 +109,19 @@ func wordDigit(c byte) (uint64, bool) {
 // padding short words with the 0 sentinel (low end) — so value(w) is the
 // smallest value of any word with prefix w.
 func (d WordDim) value(w string) (uint64, error) {
-	var v uint64
-	n := len(w)
-	if n > d.slots {
-		n = d.slots
-	}
-	for i := 0; i < n; i++ {
-		dig, ok := wordDigit(w[i])
-		if !ok {
-			return 0, fmt.Errorf("keyspace: %s: unsupported character %q in %q (want [a-z0-9])", d.name, w[i], w)
-		}
-		v = v*wordRadix + dig
-	}
-	for i := n; i < d.slots; i++ {
-		v *= wordRadix
-	}
-	return v, nil
+	return d.digits(w, 0)
 }
 
 // valueHigh is like value but pads with the largest digit: the largest value
 // of any word with prefix w.
 func (d WordDim) valueHigh(w string) (uint64, error) {
-	var v uint64
-	n := len(w)
-	if n > d.slots {
-		n = d.slots
-	}
-	for i := 0; i < n; i++ {
-		dig, ok := wordDigit(w[i])
-		if !ok {
-			return 0, fmt.Errorf("keyspace: %s: unsupported character %q in %q (want [a-z0-9])", d.name, w[i], w)
-		}
-		v = v*wordRadix + dig
-	}
-	for i := n; i < d.slots; i++ {
-		v = v*wordRadix + (wordRadix - 1)
+	return d.digits(w, wordRadix-1)
+}
+
+func (d WordDim) digits(w string, pad uint64) (uint64, error) {
+	v, bad := wordDigits(w, d.slots, pad)
+	if bad >= 0 {
+		return 0, fmt.Errorf("keyspace: %s: unsupported character %q in %q (want [a-z0-9])", d.name, w[bad], w)
 	}
 	return v, nil
 }
@@ -221,39 +205,11 @@ func (d WordDim) prefixInterval(p string) (sfc.Interval, error) {
 }
 
 // Matches applies the term exactly to a concrete word (case-insensitive).
+// Range terms compare in encoding order, so a word matches iff its
+// coordinate falls inside the range's coordinate interval.
 func (d WordDim) Matches(t Term, value string) bool {
-	v := strings.ToLower(value)
-	switch t.Kind {
-	case KindWildcard:
-		return true
-	case KindExact:
-		return v == strings.ToLower(t.Value)
-	case KindPrefix:
-		return strings.HasPrefix(v, strings.ToLower(t.Value))
-	case KindRange:
-		// Compare in encoding order (base-37 digit sequences truncated to
-		// the axis resolution) so the exact filter agrees with Interval: a
-		// word matches iff its coordinate falls inside the range's
-		// coordinate interval.
-		w, err := d.value(v)
-		if err != nil {
-			return false
-		}
-		if t.Lo != "" {
-			lo, err := d.value(t.Lo)
-			if err != nil || w < lo {
-				return false
-			}
-		}
-		if t.Hi != "" {
-			hi, err := d.valueHigh(t.Hi)
-			if err != nil || w > hi {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	m := d.compile(t)
+	return m.match(value)
 }
 
 // NumericDim encodes a numeric attribute (memory, CPU frequency, bandwidth,
@@ -362,32 +318,8 @@ func (d NumericDim) Interval(t Term) (sfc.Interval, error) {
 
 // Matches applies the term exactly to a concrete numeric value.
 func (d NumericDim) Matches(t Term, value string) bool {
-	x, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
-	if err != nil {
-		return false
-	}
-	switch t.Kind {
-	case KindWildcard:
-		return true
-	case KindExact:
-		y, err := strconv.ParseFloat(strings.TrimSpace(t.Value), 64)
-		return err == nil && x == y
-	case KindRange:
-		if t.Lo != "" {
-			lo, err := strconv.ParseFloat(t.Lo, 64)
-			if err != nil || x < lo {
-				return false
-			}
-		}
-		if t.Hi != "" {
-			hi, err := strconv.ParseFloat(t.Hi, 64)
-			if err != nil || x > hi {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	m := d.compile(t)
+	return m.match(value)
 }
 
 var (

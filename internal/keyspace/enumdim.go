@@ -72,8 +72,15 @@ func (d EnumDim) Bits() int { return d.bits }
 // Values returns the category order.
 func (d EnumDim) Values() []string { return append([]string(nil), d.values...) }
 
-func (d EnumDim) lookup(v string) (int, error) {
+// category returns the index of the category v names (case-insensitive,
+// surrounding space ignored).
+func (d EnumDim) category(v string) (int, bool) {
 	i, ok := d.index[strings.ToLower(strings.TrimSpace(v))]
+	return i, ok
+}
+
+func (d EnumDim) lookup(v string) (int, error) {
+	i, ok := d.category(v)
 	if !ok {
 		return 0, fmt.Errorf("keyspace: %s: unknown category %q (want one of %v)", d.name, v, d.values)
 	}
@@ -155,34 +162,8 @@ func (d EnumDim) Interval(t Term) (sfc.Interval, error) {
 
 // Matches applies the term exactly to a category value.
 func (d EnumDim) Matches(t Term, value string) bool {
-	i, err := d.lookup(value)
-	if err != nil {
-		return false
-	}
-	switch t.Kind {
-	case KindWildcard:
-		return true
-	case KindExact:
-		j, err := d.lookup(t.Value)
-		return err == nil && i == j
-	case KindPrefix:
-		return strings.HasPrefix(d.values[i], strings.ToLower(t.Value))
-	case KindRange:
-		if t.Lo != "" {
-			j, err := d.lookup(t.Lo)
-			if err != nil || i < j {
-				return false
-			}
-		}
-		if t.Hi != "" {
-			j, err := d.lookup(t.Hi)
-			if err != nil || i > j {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	m := d.compile(t)
+	return m.match(value)
 }
 
 var _ Dimension = EnumDim{}

@@ -127,6 +127,8 @@ func (s *Space) Region(q Query) (sfc.Region, error) {
 // Matches applies the query exactly to a data element's values — the final
 // filter run by data nodes so coordinate truncation never causes false
 // positives. Values shorter than the query are treated as empty strings.
+// It runs the same compiled terms as Compile; callers testing many elements
+// against one query should compile it once.
 func (s *Space) Matches(q Query, values []string) bool {
 	if len(q) > len(s.dims) {
 		return false
@@ -136,7 +138,8 @@ func (s *Space) Matches(q Query, values []string) bool {
 		if i < len(values) {
 			v = values[i]
 		}
-		if !s.dims[i].Matches(t, v) {
+		m := s.dims[i].compile(t)
+		if !m.match(v) {
 			return false
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -187,11 +188,12 @@ type subtree struct {
 	parent      transport.Addr // empty at the query root
 	parentToken uint64
 	matches     []Element
-	sent        int  // child messages dispatched
-	done        int  // child results received (or abandoned)
-	dispatched  bool // all child messages have been sent
-	incomplete  bool // some part of the subtree was lost to failures
-	finished    bool // result already delivered; ignore stragglers
+	sent        int          // child messages dispatched
+	kids        []*childCall // outstanding children, in dispatch order
+	done        int          // child results received (or abandoned)
+	dispatched  bool         // all child messages have been sent
+	incomplete  bool         // some part of the subtree was lost to failures
+	finished    bool         // result already delivered; ignore stragglers
 	deadline    transport.Timer
 	cb          func(Result)
 	cancelErr   error         // context cancellation cause; overrides ErrPartialResult
@@ -797,10 +799,7 @@ func (e *Engine) filterResumed(st *subtree, batch []Element) []Element {
 func (e *Engine) frontierOf(st *subtree) (uint64, bool) {
 	var lo uint64
 	found := false
-	for _, c := range e.children {
-		if c.st != st {
-			continue
-		}
+	for _, c := range st.kids {
 		if !found || c.key < lo {
 			lo, found = c.key, true
 		}
@@ -892,12 +891,7 @@ func (e *Engine) refillWindow(st *subtree) {
 	if st.finished || !st.dispatched || len(st.pending) == 0 {
 		return
 	}
-	out := 0
-	for _, c := range e.children {
-		if c.st == st {
-			out++
-		}
-	}
+	out := len(st.kids)
 	if out >= streamDispatchWindow {
 		return
 	}
@@ -956,15 +950,14 @@ func (e *Engine) completeEarly(st *subtree) {
 	e.finishSubtree(st)
 }
 
-// teardownChildren cancels every outstanding child of st, sending each a
-// downstream QueryCancelMsg, and folds the children's curve positions into
-// st's resume-cursor cut point.
+// teardownChildren cancels every outstanding child of st in dispatch
+// order, sending each a downstream QueryCancelMsg, and folds the children's
+// curve positions into st's resume-cursor cut point.
 func (e *Engine) teardownChildren(st *subtree) {
-	for tok, c := range e.children {
-		if c.st != st {
-			continue
-		}
-		delete(e.children, tok)
+	kids := st.kids
+	st.kids = nil
+	for _, c := range kids {
+		delete(e.children, c.token)
 		if c.timer != nil {
 			c.timer.Stop()
 		}
@@ -1089,6 +1082,7 @@ func (e *Engine) addChild(st *subtree, key uint64, clusters []ClusterRef) uint64
 	e.nextToken++
 	c := &childCall{st: st, token: e.nextToken, key: key, clusters: clusters}
 	e.children[c.token] = c
+	st.kids = append(st.kids, c)
 	st.sent++
 	e.met.subtreesSent.Inc()
 	e.armChild(c)
@@ -1102,11 +1096,19 @@ func (e *Engine) dropChild(tok uint64) {
 	if !ok {
 		return
 	}
-	delete(e.children, tok)
+	e.forgetChild(c)
 	if c.timer != nil {
 		c.timer.Stop()
 	}
 	c.st.sent--
+}
+
+// forgetChild unregisters a child that will not be waited on any more.
+func (e *Engine) forgetChild(c *childCall) {
+	delete(e.children, c.token)
+	if i := slices.Index(c.st.kids, c); i >= 0 {
+		c.st.kids = slices.Delete(c.st.kids, i, i+1)
+	}
 }
 
 // armChild starts (or restarts) a child's recovery deadline.
@@ -1131,7 +1133,7 @@ func (e *Engine) childExpired(tok uint64) {
 		return
 	}
 	if c.attempts >= e.opts.SubtreeRetries {
-		delete(e.children, tok)
+		e.forgetChild(c)
 		e.met.abandoned.Inc()
 		if rs, ok := e.opts.Sink.(RecoverySink); ok {
 			rs.Abandoned(c.st.qid)
@@ -1229,17 +1231,17 @@ func (e *Engine) cancelQuery(st *subtree, cause error) {
 		e.finishSubtree(st)
 		return
 	}
-	for tok, c := range e.children {
-		if c.st == st {
-			delete(e.children, tok)
-			if c.timer != nil {
-				c.timer.Stop()
-			}
-			// Cancelled children never reported: mark them lost in the
-			// trace so the dump shows where the deadline cut the tree.
-			if st.spanID != 0 {
-				st.spans = append(st.spans, e.lostSpan(st, c))
-			}
+	kids := st.kids
+	st.kids = nil
+	for _, c := range kids {
+		delete(e.children, c.token)
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+		// Cancelled children never reported: mark them lost in the trace
+		// so the dump shows where the deadline cut the tree.
+		if st.spanID != 0 {
+			st.spans = append(st.spans, e.lostSpan(st, c))
 		}
 	}
 	st.incomplete = true
@@ -1682,8 +1684,9 @@ func (e *Engine) handleClientQuery(m ClientQueryMsg) {
 
 func (e *Engine) handleLookup(m LookupMsg) {
 	var matches []Element
+	match := e.space.Compile(m.Query)
 	for _, elem := range e.store.At(m.Key) {
-		if e.space.Matches(m.Query, elem.Values) {
+		if match.Match(elem.Values) {
 			matches = append(matches, elem)
 		}
 	}
@@ -1800,7 +1803,7 @@ func (e *Engine) handleShed(m QueryShedMsg) {
 	e.met.shedChild.Inc()
 	if c.timer == nil {
 		// SubtreeTimeout == 0: the subtree cannot be retried.
-		delete(e.children, m.Token)
+		e.forgetChild(c)
 		e.met.abandoned.Inc()
 		if rs, ok := e.opts.Sink.(RecoverySink); ok {
 			rs.Abandoned(c.st.qid)
@@ -1826,7 +1829,7 @@ func (e *Engine) handleSubResult(m SubResultMsg) {
 	if !ok {
 		return // straggler: child already answered, abandoned, or expired
 	}
-	delete(e.children, m.Token)
+	e.forgetChild(c)
 	if c.timer != nil {
 		c.timer.Stop()
 	}

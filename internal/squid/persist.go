@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"squid/internal/chord"
 	"squid/internal/sfc"
@@ -21,11 +22,7 @@ const storeImageVersion = 1
 // WriteTo serializes the store (gob). Implements io.WriterTo.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	s.mu.RLock()
-	img := storeImage{Version: storeImageVersion, Keys: append([]uint64(nil), s.sorted...)}
-	img.Buckets = make([][]Element, len(img.Keys))
-	for i, k := range img.Keys {
-		img.Buckets[i] = s.byKey[k]
-	}
+	img := storeImage{Version: storeImageVersion, Keys: slices.Clone(s.keys), Buckets: slices.Clone(s.buckets)}
 	s.mu.RUnlock()
 	cw := &countingWriter{w: w}
 	if err := gob.NewEncoder(cw).Encode(img); err != nil {
@@ -34,7 +31,10 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadFrom replaces the store's contents with a serialized image.
+// ReadFrom replaces the store's contents with a serialized image. The
+// image's key and bucket arrays are adopted as they are, so they must
+// already be in the store's layout: keys strictly ascending, no bucket
+// empty. Any other image is rejected and the store left unchanged.
 // Implements io.ReaderFrom.
 func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countingReader{r: r}
@@ -48,14 +48,19 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	if len(img.Keys) != len(img.Buckets) {
 		return cr.n, fmt.Errorf("squid: corrupt store image: %d keys, %d buckets", len(img.Keys), len(img.Buckets))
 	}
-	s.mu.Lock()
-	s.byKey = make(map[uint64][]Element, len(img.Keys))
-	s.sorted = s.sorted[:0]
-	s.mu.Unlock()
 	for i, k := range img.Keys {
-		for _, e := range img.Buckets[i] {
-			s.Add(k, e)
+		if i > 0 && k <= img.Keys[i-1] {
+			return cr.n, fmt.Errorf("squid: corrupt store image: key %d at position %d follows key %d", k, i, img.Keys[i-1])
 		}
+		if len(img.Buckets[i]) == 0 {
+			return cr.n, fmt.Errorf("squid: corrupt store image: empty bucket under key %d", k)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.keys, s.buckets = img.Keys, img.Buckets
+	for _, k := range s.keys {
+		s.markDirty(k)
 	}
 	return cr.n, nil
 }

@@ -2,6 +2,7 @@ package squid
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -71,5 +72,34 @@ func TestStoreSaveLoadEmpty(t *testing.T) {
 	}
 	if r.Keys() != 0 {
 		t.Errorf("empty round trip has %d keys", r.Keys())
+	}
+}
+
+// TestStoreLoadRejectsCorruptImage checks that ReadFrom adopts only images
+// already in the store's layout — keys strictly ascending, no bucket
+// empty — and leaves the store untouched when it rejects one.
+func TestStoreLoadRejectsCorruptImage(t *testing.T) {
+	a := []Element{{Values: []string{"a"}, Data: "one"}}
+	b := []Element{{Values: []string{"b"}, Data: "two"}}
+	for _, c := range []struct {
+		name string
+		img  storeImage
+	}{
+		{"unsorted keys", storeImage{Version: storeImageVersion, Keys: []uint64{9, 3}, Buckets: [][]Element{a, b}}},
+		{"duplicate key", storeImage{Version: storeImageVersion, Keys: []uint64{3, 3}, Buckets: [][]Element{a, b}}},
+		{"empty bucket", storeImage{Version: storeImageVersion, Keys: []uint64{3, 9}, Buckets: [][]Element{a, {}}}},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(c.img); err != nil {
+			t.Fatal(err)
+		}
+		s := NewStore(chord.Space{Bits: 16})
+		s.Add(100, Element{Data: "kept"})
+		if _, err := s.ReadFrom(&buf); err == nil || !strings.Contains(err.Error(), "corrupt store image") {
+			t.Errorf("%s: ReadFrom err = %v, want a corrupt-image error", c.name, err)
+		}
+		if s.Keys() != 1 || len(s.At(100)) != 1 {
+			t.Errorf("%s: rejected image changed the store", c.name)
+		}
 	}
 }

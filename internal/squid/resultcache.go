@@ -25,22 +25,29 @@ import (
 //
 // Like all engine state the cache is confined to the node's delivery
 // goroutine; eviction is FIFO (matching the probe cache's idiom), sized by
-// Options.ResultCacheSize.
+// Options.ResultCacheSize. Entries sit in a fixed slot array threaded into
+// a FIFO list by slot index, so eviction and invalidation unlink one slot
+// in O(1) and the key index never needs rewriting.
 type resultCacheEntry struct {
-	key     string
-	spans   []sfc.Interval // curve spans covered, for dirty-key invalidation
-	matches []Element
+	key        string
+	spans      []sfc.Interval // curve spans covered, for dirty-key invalidation
+	matches    []Element
+	prev, next int // FIFO neighbours (slot indexes); -1 at the ends
 }
 
 type resultCache struct {
-	max int
-	// byKey indexes entries by cache key.
-	entries []resultCacheEntry //lint:confine delivery
-	byKey   map[string]int     //lint:confine delivery
+	max   int
+	slots []resultCacheEntry //lint:confine delivery
+	// free holds vacated slot indexes for reuse.
+	free []int //lint:confine delivery
+	// head is the oldest entry's slot, tail the newest's; -1 when empty.
+	head, tail int //lint:confine delivery
+	// byKey indexes live entries' slots by cache key.
+	byKey map[string]int //lint:confine delivery
 }
 
 func newResultCache(max int) *resultCache {
-	return &resultCache{max: max, byKey: make(map[string]int, max)}
+	return &resultCache{max: max, head: -1, tail: -1, byKey: make(map[string]int, max)}
 }
 
 // cacheKey fingerprints one incoming cluster batch: the canonical query
@@ -68,73 +75,76 @@ func (rc *resultCache) get(key string) ([]Element, bool) {
 	if !ok {
 		return nil, false
 	}
-	return rc.entries[i].matches, true
+	return rc.slots[i].matches, true
 }
 
 // put stores a completed leaf subtree's matches, evicting FIFO beyond the
 // configured size. A re-put under an existing key replaces it in place
-// (same clusters re-resolved after an invalidation).
+// (same clusters re-resolved after an invalidation), keeping its FIFO
+// position.
 func (rc *resultCache) put(key string, spans []sfc.Interval, matches []Element) {
 	if i, ok := rc.byKey[key]; ok {
-		rc.entries[i] = resultCacheEntry{key: key, spans: spans, matches: matches}
+		rc.slots[i].spans, rc.slots[i].matches = spans, matches
 		return
 	}
-	if len(rc.entries) >= rc.max {
-		rc.evictOldest()
+	if len(rc.byKey) >= rc.max {
+		rc.unlink(rc.head)
 	}
-	rc.byKey[key] = len(rc.entries)
-	rc.entries = append(rc.entries, resultCacheEntry{key: key, spans: spans, matches: matches})
+	var i int
+	if n := len(rc.free); n > 0 {
+		i, rc.free = rc.free[n-1], rc.free[:n-1]
+	} else {
+		i = len(rc.slots)
+		rc.slots = append(rc.slots, resultCacheEntry{})
+	}
+	rc.slots[i] = resultCacheEntry{key: key, spans: spans, matches: matches, prev: rc.tail, next: -1}
+	if rc.tail >= 0 {
+		rc.slots[rc.tail].next = i
+	} else {
+		rc.head = i
+	}
+	rc.tail = i
+	rc.byKey[key] = i
 }
 
-func (rc *resultCache) evictOldest() {
-	if len(rc.entries) == 0 {
-		return
+// unlink removes the entry in slot i and frees the slot.
+func (rc *resultCache) unlink(i int) {
+	e := &rc.slots[i]
+	if e.prev >= 0 {
+		rc.slots[e.prev].next = e.next
+	} else {
+		rc.head = e.next
 	}
-	delete(rc.byKey, rc.entries[0].key)
-	rc.entries = rc.entries[1:]
-	for k, i := range rc.byKey {
-		rc.byKey[k] = i - 1
+	if e.next >= 0 {
+		rc.slots[e.next].prev = e.prev
+	} else {
+		rc.tail = e.prev
 	}
+	delete(rc.byKey, e.key)
+	*e = resultCacheEntry{}
+	rc.free = append(rc.free, i)
 }
 
 // invalidate drops every entry whose covered spans contain the mutated
 // curve index — the cache-side consumer of the store's dirty-key signal.
 func (rc *resultCache) invalidate(idx uint64) {
-	if len(rc.entries) == 0 {
-		return
-	}
-	kept := rc.entries[:0]
-	changed := false
-	for _, e := range rc.entries {
-		stale := false
-		for _, sp := range e.spans {
+	for i := rc.head; i >= 0; {
+		next := rc.slots[i].next
+		for _, sp := range rc.slots[i].spans {
 			if idx >= sp.Lo && idx <= sp.Hi {
-				stale = true
+				rc.unlink(i)
 				break
 			}
 		}
-		if stale {
-			changed = true
-			continue
-		}
-		kept = append(kept, e)
-	}
-	rc.entries = kept
-	if changed {
-		for k := range rc.byKey {
-			delete(rc.byKey, k)
-		}
-		for i, e := range rc.entries {
-			rc.byKey[e.key] = i
-		}
+		i = next
 	}
 }
 
 // clear drops everything — the safe response to bulk ownership changes
 // (handovers, replica promotion) whose touched key set is not enumerated.
 func (rc *resultCache) clear() {
-	rc.entries = rc.entries[:0]
-	for k := range rc.byKey {
-		delete(rc.byKey, k)
-	}
+	clear(rc.slots) // release the cached matches
+	rc.slots, rc.free = rc.slots[:0], rc.free[:0]
+	rc.head, rc.tail = -1, -1
+	clear(rc.byKey)
 }

@@ -218,6 +218,7 @@ func (s *scheduler) worker() {
 // for the run-boundary rationale.
 func refineClusters(store *Store, space *keyspace.Space, arc arcView, qid QueryID, cls []sfc.Refined, q keyspace.Query, region sfc.Region, scratch *sfc.Scratch, frontier []sfc.Refined) (matches []Element, remote []sfc.Refined, local int, frontierOut []sfc.Refined) {
 	curve := space.Curve()
+	match := space.Compile(q)
 	frontier = frontier[:0]
 	for _, c := range cls {
 		if !arc.owns(c.Span(curve).Lo) {
@@ -242,11 +243,7 @@ func refineClusters(store *Store, space *keyspace.Space, arc arcView, qid QueryI
 			// The store holds only keys this node owns; the final filter
 			// applies the query's exact semantics (paper: only elements
 			// matching all terms are returned).
-			store.ScanSpan(span, func(_ uint64, elem Element) {
-				if space.Matches(q, elem.Values) {
-					matches = append(matches, elem)
-				}
-			})
+			matches = store.AppendMatches(matches, span, &match)
 			continue
 		}
 		// Starts inside the owned run but extends beyond it: refine (with

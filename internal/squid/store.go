@@ -1,10 +1,12 @@
 package squid
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"squid/internal/chord"
+	"squid/internal/keyspace"
 	"squid/internal/sfc"
 )
 
@@ -18,6 +20,9 @@ type Element struct {
 
 // Store is a node's local fragment of the distributed index: elements
 // keyed by their curve index, with ordered access for cluster span scans.
+// Keys and their buckets live in two parallel sorted arrays — the layout
+// the store image serializes — so a span scan is one binary search and a
+// walk over contiguous memory.
 //
 // Mutations are confined to the node's delivery goroutine, like all engine
 // state. Reads additionally happen on query-scheduler workers, so an
@@ -27,9 +32,11 @@ type Element struct {
 type Store struct {
 	mu    sync.RWMutex
 	space chord.Space
-	byKey map[uint64][]Element //lint:guarded-by mu
-	// sorted holds the keys in ascending order.
-	sorted []uint64 //lint:guarded-by mu
+	// keys holds the stored curve indexes in ascending order; buckets[i]
+	// holds the elements under keys[i] in insertion order and is never
+	// empty.
+	keys    []uint64    //lint:guarded-by mu
+	buckets [][]Element //lint:guarded-by mu
 
 	// dirty accumulates keys mutated since the last TakeDirty, for delta
 	// replication pushes. nil unless TrackDirty was called: stores that are
@@ -40,7 +47,7 @@ type Store struct {
 
 // NewStore returns an empty store over the given identifier space.
 func NewStore(space chord.Space) *Store {
-	return &Store{space: space, byKey: make(map[uint64][]Element)}
+	return &Store{space: space}
 }
 
 // TrackDirty enables dirty-key tracking. Mutations from this point on are
@@ -60,6 +67,31 @@ func (s *Store) markDirty(key uint64) {
 	}
 }
 
+// search returns the position of the first stored key >= key.
+//
+//lint:allocfree
+//lint:holds s.mu
+func (s *Store) search(key uint64) int {
+	lo, hi := 0, len(s.keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.keys[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// find returns the position of key and whether it is stored.
+//
+//lint:holds s.mu
+func (s *Store) find(key uint64) (int, bool) {
+	i := s.search(key)
+	return i, i < len(s.keys) && s.keys[i] == key
+}
+
 // TakeDirty appends the tracked dirty keys to dst in ascending order and
 // clears the tracking set. Keys whose items were since removed entirely are
 // skipped (deletions are not delta-replicated; they age out on full pushes).
@@ -68,13 +100,12 @@ func (s *Store) TakeDirty(dst []uint64) []uint64 {
 	defer s.mu.Unlock()
 	base := len(dst)
 	for k := range s.dirty {
-		if _, ok := s.byKey[k]; ok {
+		if _, ok := s.find(k); ok {
 			dst = append(dst, k)
 		}
 		delete(s.dirty, k)
 	}
-	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(dst[base:])
 	return dst
 }
 
@@ -85,8 +116,8 @@ func (s *Store) SnapshotKeys(keys []uint64) []chord.Item {
 	defer s.mu.RUnlock()
 	out := make([]chord.Item, 0, len(keys))
 	for _, k := range keys {
-		if bucket, ok := s.byKey[k]; ok {
-			out = append(out, chord.Item{Key: chord.ID(k), Value: append([]Element(nil), bucket...)})
+		if i, ok := s.find(k); ok {
+			out = append(out, chord.Item{Key: chord.ID(k), Value: slices.Clone(s.buckets[i])})
 		}
 	}
 	return out
@@ -101,14 +132,15 @@ func (s *Store) Add(key uint64, e Element) {
 	s.addLocked(key, e)
 }
 
+//lint:holds s.mu
 func (s *Store) addLocked(key uint64, e Element) {
-	if _, exists := s.byKey[key]; !exists {
-		i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i] >= key })
-		s.sorted = append(s.sorted, 0)
-		copy(s.sorted[i+1:], s.sorted[i:])
-		s.sorted[i] = key
+	i, ok := s.find(key)
+	if ok {
+		s.buckets[i] = append(s.buckets[i], e)
+	} else {
+		s.keys = slices.Insert(s.keys, i, key)
+		s.buckets = slices.Insert(s.buckets, i, []Element{e})
 	}
-	s.byKey[key] = append(s.byKey[key], e)
 	s.markDirty(key)
 }
 
@@ -117,7 +149,7 @@ func (s *Store) addLocked(key uint64, e Element) {
 func (s *Store) Keys() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byKey)
+	return len(s.keys)
 }
 
 // Elements returns the total number of stored elements.
@@ -125,26 +157,50 @@ func (s *Store) Elements() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, b := range s.byKey {
+	for _, b := range s.buckets {
 		n += len(b)
 	}
 	return n
 }
 
 // ScanSpan calls fn for every stored element whose key lies in the
-// inclusive index interval. The read lock is held for the whole scan, so
-// fn must not mutate the store; scheduler workers rely on the scan being
-// atomic with respect to concurrent handovers.
+// inclusive index interval, in key order. The read lock is held for the
+// whole scan, so fn must not mutate the store; scheduler workers rely on
+// the scan being atomic with respect to concurrent handovers.
 func (s *Store) ScanSpan(span sfc.Interval, fn func(key uint64, e Element)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i] >= span.Lo })
-	for ; i < len(s.sorted) && s.sorted[i] <= span.Hi; i++ {
-		k := s.sorted[i]
-		for _, e := range s.byKey[k] {
-			fn(k, e)
+	for i := s.search(span.Lo); i < len(s.keys) && s.keys[i] <= span.Hi; i++ {
+		for _, e := range s.buckets[i] {
+			fn(s.keys[i], e)
 		}
 	}
+}
+
+// AppendMatches appends to dst every element stored in the inclusive index
+// interval that m accepts, in key order — ScanSpan with the query's exact
+// filter applied in place. Like ScanSpan it is atomic with respect to
+// concurrent mutation.
+func (s *Store) AppendMatches(dst []Element, span sfc.Interval, m *keyspace.Matcher) []Element {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.appendMatches(dst, span, m)
+}
+
+// appendMatches is AppendMatches' scan loop.
+//
+//lint:allocfree
+//lint:holds s.mu
+func (s *Store) appendMatches(dst []Element, span sfc.Interval, m *keyspace.Matcher) []Element {
+	for i := s.search(span.Lo); i < len(s.keys) && s.keys[i] <= span.Hi; i++ {
+		bucket := s.buckets[i]
+		for j := range bucket {
+			if m.Match(bucket[j].Values) {
+				dst = append(dst, bucket[j])
+			}
+		}
+	}
+	return dst
 }
 
 // At returns the elements stored under exactly key. The returned slice is
@@ -153,16 +209,19 @@ func (s *Store) ScanSpan(span sfc.Interval, fn func(key uint64, e Element)) {
 func (s *Store) At(key uint64) []Element {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.byKey[key]
+	if i, ok := s.find(key); ok {
+		return s.buckets[i]
+	}
+	return nil
 }
 
 // Snapshot copies every stored item (for replication pushes).
 func (s *Store) Snapshot() []chord.Item {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]chord.Item, 0, len(s.sorted))
-	for _, k := range s.sorted {
-		out = append(out, chord.Item{Key: chord.ID(k), Value: append([]Element(nil), s.byKey[k]...)})
+	out := make([]chord.Item, len(s.keys))
+	for i, k := range s.keys {
+		out[i] = chord.Item{Key: chord.ID(k), Value: slices.Clone(s.buckets[i])}
 	}
 	return out
 }
@@ -173,27 +232,29 @@ func (s *Store) Snapshot() []chord.Item {
 func (s *Store) AddUnique(key uint64, e Element) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.contains(key, e) {
+	if i, ok := s.find(key); ok && indexOf(s.buckets[i], e) >= 0 {
 		return false
 	}
 	s.addLocked(key, e)
 	return true
 }
 
-//lint:holds s.mu
-func (s *Store) contains(key uint64, e Element) bool {
-	for _, have := range s.byKey[key] {
-		if have.Data == e.Data && equalValues(have.Values, e.Values) {
-			return true
+// indexOf returns the position of the first element of bucket identical to
+// e (same values and payload), or -1.
+func indexOf(bucket []Element, e Element) int {
+	for i, have := range bucket {
+		if have.Data == e.Data && slices.Equal(have.Values, e.Values) {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
-// AddBatch bulk-loads items: elements are appended to their key buckets and
-// all fresh keys are merged into the sorted index in one pass, so loading n
-// items costs O(n log n + existing) instead of the O(n·existing) of n Add
-// calls. Non-element item values are skipped.
+// AddBatch bulk-loads items: elements under stored keys are appended to
+// their buckets, and the elements under fresh keys are sorted once and
+// merged into the key arrays in one pass, so loading n items costs
+// O(n log n + existing) instead of the O(n·existing) of n Add calls.
+// Non-element item values are skipped.
 func (s *Store) AddBatch(items []chord.Item) {
 	s.addBatch(items, false)
 }
@@ -204,68 +265,90 @@ func (s *Store) AddBatchUnique(items []chord.Item) int {
 	return s.addBatch(items, true)
 }
 
+// freshRef places one batch element bound for a key not yet stored: its
+// key and its position in the batch.
+type freshRef struct {
+	key uint64
+	pos int
+}
+
 func (s *Store) addBatch(items []chord.Item, unique bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	added := 0
-	var fresh []uint64
+	var fresh []freshRef
+	var pending []Element
 	for _, it := range items {
 		bucket, ok := it.Value.([]Element)
 		if !ok {
 			continue
 		}
 		key := uint64(it.Key)
+		i, stored := s.find(key)
 		for _, e := range bucket {
-			if unique && s.contains(key, e) {
+			if !stored {
+				fresh = append(fresh, freshRef{key, len(pending)})
+				pending = append(pending, e)
 				continue
 			}
-			if _, exists := s.byKey[key]; !exists {
-				fresh = append(fresh, key)
+			if unique && indexOf(s.buckets[i], e) >= 0 {
+				continue
 			}
-			s.byKey[key] = append(s.byKey[key], e)
+			s.buckets[i] = append(s.buckets[i], e)
 			s.markDirty(key)
 			added++
 		}
 	}
 	if len(fresh) > 0 {
-		s.mergeSorted(fresh)
+		added += s.mergeFresh(fresh, pending, unique)
 	}
 	return added
 }
 
-// mergeSorted merges the fresh (unsorted, duplicate-free) keys into the
-// ascending key index.
+// mergeFresh merges batch elements under keys not yet stored into the key
+// arrays: one sort by (key, batch position), so batch order survives
+// within a key, then one merge pass. The fresh buckets share one backing
+// array, each capped at its own length so that a later append to one
+// reallocates instead of overwriting its neighbour. It returns how many
+// elements were added.
 //
 //lint:holds s.mu
-func (s *Store) mergeSorted(fresh []uint64) {
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
-	old := s.sorted
-	merged := make([]uint64, 0, len(old)+len(fresh))
-	i, j := 0, 0
-	for i < len(old) && j < len(fresh) {
-		if old[i] <= fresh[j] {
-			merged = append(merged, old[i])
-			i++
-		} else {
-			merged = append(merged, fresh[j])
-			j++
+func (s *Store) mergeFresh(fresh []freshRef, pending []Element, unique bool) int {
+	slices.SortFunc(fresh, func(a, b freshRef) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	n := len(s.keys)
+	for i := range fresh {
+		if i == 0 || fresh[i].key != fresh[i-1].key {
+			n++
 		}
 	}
-	merged = append(merged, old[i:]...)
-	merged = append(merged, fresh[j:]...)
-	s.sorted = merged
-}
-
-func equalValues(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	keys := make([]uint64, 0, n)
+	buckets := make([][]Element, 0, n)
+	elems := make([]Element, 0, len(fresh))
+	old := 0
+	for lo := 0; lo < len(fresh); {
+		key, start := fresh[lo].key, len(elems)
+		hi := lo
+		for ; hi < len(fresh) && fresh[hi].key == key; hi++ {
+			e := pending[fresh[hi].pos]
+			if unique && indexOf(elems[start:], e) >= 0 {
+				continue
+			}
+			elems = append(elems, e)
 		}
+		for ; old < len(s.keys) && s.keys[old] < key; old++ {
+			keys, buckets = append(keys, s.keys[old]), append(buckets, s.buckets[old])
+		}
+		keys, buckets = append(keys, key), append(buckets, elems[start:len(elems):len(elems)])
+		s.markDirty(key)
+		lo = hi
 	}
-	return true
+	s.keys, s.buckets = append(keys, s.keys[old:]...), append(buckets, s.buckets[old:]...)
+	return len(elems)
 }
 
 // Remove deletes the first stored element under key equal to e (same
@@ -273,27 +356,22 @@ func equalValues(a, b []string) bool {
 func (s *Store) Remove(key uint64, e Element) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bucket, ok := s.byKey[key]
+	i, ok := s.find(key)
 	if !ok {
 		return false
 	}
-	for i, have := range bucket {
-		if have.Data == e.Data && equalValues(have.Values, e.Values) {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			if len(bucket) == 0 {
-				delete(s.byKey, key)
-				j := sort.Search(len(s.sorted), func(j int) bool { return s.sorted[j] >= key })
-				if j < len(s.sorted) && s.sorted[j] == key {
-					s.sorted = append(s.sorted[:j], s.sorted[j+1:]...)
-				}
-			} else {
-				s.byKey[key] = bucket
-			}
-			s.markDirty(key)
-			return true
-		}
+	j := indexOf(s.buckets[i], e)
+	if j < 0 {
+		return false
 	}
-	return false
+	if len(s.buckets[i]) == 1 {
+		s.keys = slices.Delete(s.keys, i, i+1)
+		s.buckets = slices.Delete(s.buckets, i, i+1)
+	} else {
+		s.buckets[i] = slices.Delete(s.buckets[i], j, j+1)
+	}
+	s.markDirty(key)
+	return true
 }
 
 // MedianKey returns the median stored key — the split point the runtime
@@ -302,10 +380,10 @@ func (s *Store) Remove(key uint64, e Element) bool {
 func (s *Store) MedianKey() (key uint64, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.sorted) == 0 {
+	if len(s.keys) == 0 {
 		return 0, false
 	}
-	return s.sorted[len(s.sorted)/2], true
+	return s.keys[len(s.keys)/2], true
 }
 
 // HandoverOut removes and returns all items whose keys lie in the ring arc
@@ -314,16 +392,17 @@ func (s *Store) HandoverOut(a, b chord.ID) []chord.Item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var items []chord.Item
-	kept := s.sorted[:0]
-	for _, k := range s.sorted {
+	kept := 0
+	for i, k := range s.keys {
 		if s.space.Between(chord.ID(k), a, b) {
-			items = append(items, chord.Item{Key: chord.ID(k), Value: s.byKey[k]})
-			delete(s.byKey, k)
+			items = append(items, chord.Item{Key: chord.ID(k), Value: s.buckets[i]})
 		} else {
-			kept = append(kept, k)
+			s.keys[kept], s.buckets[kept] = k, s.buckets[i]
+			kept++
 		}
 	}
-	s.sorted = kept
+	clear(s.buckets[kept:])
+	s.keys, s.buckets = s.keys[:kept], s.buckets[:kept]
 	return items
 }
 
@@ -333,7 +412,7 @@ func (s *Store) HandoverOut(a, b chord.ID) []chord.Item {
 func (s *Store) replaceWith(o *Store) {
 	s.mu.Lock()
 	o.mu.Lock()
-	s.byKey, s.sorted, s.dirty = o.byKey, o.sorted, o.dirty
+	s.keys, s.buckets, s.dirty = o.keys, o.buckets, o.dirty
 	o.mu.Unlock()
 	s.mu.Unlock()
 }

@@ -65,14 +65,43 @@ func encodeElements(e *wire.Encoder, els []Element) {
 	}
 }
 
+// decodeElements decodes an element list in three allocations, however
+// long: one string copy of the whole element block, which every Values[i]
+// and Data slices; one []string backing every Values; one []Element. A
+// first pass validates the block and counts its values without
+// allocating; the second decodes it through the arena. A retained element
+// therefore pins its message's element block (see DESIGN.md §4i).
 func decodeElements(d *wire.Decoder) []Element {
 	n := d.Len(2) // ≥ values count + data length
 	if n == 0 {
 		return nil
 	}
+	start, values := d.Offset(), 0
+	for i := 0; i < n; i++ {
+		k := d.Len(1)
+		values += k
+		for j := 0; j < k; j++ {
+			d.SkipString()
+		}
+		d.SkipString()
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	arena := d.ArenaFrom(start)
+	vals := make([]string, values)
 	out := make([]Element, n)
 	for i := range out {
-		out[i] = decodeElement(d)
+		if k := d.Len(1); k > 0 {
+			// Capped at its own length: an append to one element's
+			// Values must not overwrite the next element's.
+			out[i].Values = vals[:k:k]
+			vals = vals[k:]
+			for j := range out[i].Values {
+				out[i].Values[j] = d.ArenaString(arena)
+			}
+		}
+		out[i].Data = d.ArenaString(arena)
 	}
 	return out
 }

@@ -30,6 +30,13 @@ func FuzzDecoderPrimitives(f *testing.F) {
 			d.Strings()
 			d.RawBytes()
 			d.Len(4)
+			// An arena over the next two strings re-reads them in place.
+			start := d.Offset()
+			d.SkipString()
+			d.SkipString()
+			a := d.ArenaFrom(start)
+			d.ArenaString(a)
+			d.ArenaString(a)
 		}
 	})
 }

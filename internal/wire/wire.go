@@ -252,6 +252,63 @@ func (d *Decoder) String() string {
 	return s
 }
 
+// SkipString advances past a length-prefixed string without copying it,
+// with String's validation.
+func (d *Decoder) SkipString() {
+	n := d.Uvarint()
+	if d.err != nil {
+		return
+	}
+	if n > uint64(d.Remaining()) {
+		d.fail(ErrTruncated)
+		return
+	}
+	d.off += int(n)
+}
+
+// Offset returns the read position within the frame.
+func (d *Decoder) Offset() int { return d.off }
+
+// Arena is one string copy of a run of frame bytes. Strings read through
+// ArenaString slice it instead of allocating one copy each, so decoding a
+// run of n strings costs one allocation, not n — at the price that any
+// string kept alive pins the whole run.
+type Arena struct {
+	s    string
+	base int // frame offset of s[0]
+}
+
+// ArenaFrom copies the frame bytes from offset from up to the read
+// position into one Arena and rewinds the decoder to from, so the run
+// (typically first walked with SkipString to validate and size it) can be
+// decoded again through ArenaString. On a sticky error it returns the zero
+// Arena and leaves the position alone.
+func (d *Decoder) ArenaFrom(from int) Arena {
+	if d.err != nil || from < 0 || from > d.off {
+		return Arena{}
+	}
+	a := Arena{s: string(d.buf[from:d.off]), base: from}
+	d.off = from
+	return a
+}
+
+// ArenaString reads a length-prefixed string like String but returns a
+// slice of a rather than a fresh copy. A string reaching outside the
+// arena's run is corruption.
+func (d *Decoder) ArenaString(a Arena) string {
+	n := d.Uvarint()
+	if d.err != nil {
+		return ""
+	}
+	lo := d.off - a.base
+	if lo < 0 || lo > len(a.s) || n > uint64(len(a.s)-lo) {
+		d.fail(ErrCorrupt)
+		return ""
+	}
+	d.off += int(n)
+	return a.s[lo : lo+int(n)]
+}
+
 // RawBytes reads length-prefixed raw bytes (a fresh copy).
 func (d *Decoder) RawBytes() []byte {
 	n := d.Uvarint()
